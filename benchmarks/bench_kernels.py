@@ -4,13 +4,28 @@ Times the real NumPy-backed kernels: pack/unpack/gather/scatter across
 widths, iterator traversal styles, and replica selection — the pieces
 every figure's functional path is built from.  Useful for tracking
 regressions in the Python implementation itself.
+
+Run as a script it prints the per-width decode table: Melem/s of
+:func:`repro.core.bitpack_fast.unpack_chunk_range` at every width
+1..64, for runs of 64 chunks (one superchunk, the interpreted morsel)
+and 1024 chunks (the compiled and ``GROUP BY`` morsel)::
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import SmartArrayIterator, allocate, bitpack
+from repro.core.bitpack_fast import unpack_chunk_range
 from repro.numa import NumaAllocator, machine_2x8_haswell
+
+try:
+    from .common import emit
+except ImportError:  # run as a script
+    from common import emit
 
 N = 500_000
 
@@ -107,3 +122,57 @@ def test_replicated_fill(benchmark, values):
     data = values & np.uint64((1 << 31) - 1)
     benchmark(lambda: sa.fill(data))
     assert sa.get(5, replica=1) == int(data[5])
+
+
+#: Chunk-run lengths of the decode table.
+DECODE_RUNS = (64, 1024)
+
+
+@pytest.mark.parametrize("bits", [7, 20, 33, 63])
+@pytest.mark.parametrize("run", DECODE_RUNS)
+def test_chunk_range_decode(benchmark, bits, run):
+    """General-width decode of one chunk run into a reused buffer."""
+    words = _decode_words(bits, run)
+    out = np.empty(run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
+    benchmark(lambda: unpack_chunk_range(words, 0, run, bits, out=out))
+    assert out[5] == bitpack.get_scalar(words, 5, bits)
+
+
+def _decode_words(bits: int, run: int) -> np.ndarray:
+    rng = np.random.default_rng(bits)
+    return rng.integers(0, 2**64, run * bits, dtype=np.uint64,
+                        endpoint=False)
+
+
+def decode_rate(bits: int, run: int, budget_s: float = 0.05) -> float:
+    """Best-of Melem/s of one ``run``-chunk decode at ``bits`` wide."""
+    words = _decode_words(bits, run)
+    out = np.empty(run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
+    best = float("inf")
+    deadline = time.perf_counter() + budget_s
+    while True:
+        t0 = time.perf_counter()
+        unpack_chunk_range(words, 0, run, bits, out=out)
+        t1 = time.perf_counter()
+        best = min(best, t1 - t0)
+        if t1 >= deadline:
+            break
+    return out.size / best / 1e6
+
+
+def decode_table() -> str:
+    lines = [f"{'width':>5} " + " ".join(
+        f"{f'{run}-chunk Melem/s':>19}" for run in DECODE_RUNS)]
+    for bits in range(1, 65):
+        lines.append(f"{bits:>5} " + " ".join(
+            f"{decode_rate(bits, run):>19.1f}" for run in DECODE_RUNS))
+    return "\n".join(lines)
+
+
+def main() -> None:
+    emit("Per-width chunk-run decode (unpack_chunk_range, best of 50 ms)",
+         decode_table(), "kernels.txt")
+
+
+if __name__ == "__main__":
+    main()

@@ -245,29 +245,13 @@ def pack_array(values, bits: int) -> np.ndarray:
     """Pack ``values`` into a fresh word buffer (vectorized Function 2).
 
     Equivalent to calling :func:`init_scalar` for every index on a
-    zeroed buffer, but runs as a handful of NumPy ufunc passes.  Raises
+    zeroed buffer.  Dispatches to the all-width blocked kernel
+    (:func:`repro.core.bitpack_fast.pack_words_blocked`).  Raises
     :class:`ValueOverflowError` if any value does not fit.
     """
-    bits = check_bits(bits)
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    n = values.size
-    words = np.zeros(words_for(n, bits), dtype=np.uint64)
-    if n == 0:
-        return words
-    if bits < WORD_BITS and int(values.max()) >> bits:
-        bad = values[(values >> np.uint64(bits)) != 0][0]
-        raise ValueOverflowError(int(bad), bits)
-    if bits == WORD_BITS:
-        words[:n] = values
-        return words
-    indices = np.arange(n, dtype=np.int64)
-    word, bit_in_word, spills = _positions(indices, bits)
-    np.bitwise_or.at(words, word, values << bit_in_word)
-    if spills.any():
-        sv = values[spills]
-        so = bit_in_word[spills]
-        np.bitwise_or.at(words, word[spills] + 1, sv >> (np.uint64(WORD_BITS) - so))
-    return words
+    from . import bitpack_fast
+
+    return bitpack_fast.pack_words_blocked(values, bits)
 
 
 def unpack_array(words: np.ndarray, length: int, bits: int) -> np.ndarray:
@@ -279,9 +263,6 @@ def unpack_array(words: np.ndarray, length: int, bits: int) -> np.ndarray:
     exploits the chunk alignment property instead of per-element index
     arithmetic; the :func:`gather` path remains for true random access.
     """
-    bits = check_bits(bits)
-    if length == 0:
-        return np.empty(0, dtype=np.uint64)
     from . import bitpack_fast
 
     return bitpack_fast.unpack_words_blocked(words, length, bits)

@@ -12,11 +12,11 @@ not just the widths that divide 64:
   index arithmetic, no gather, no spill handling.
 * **General widths**: every 64-element chunk occupies exactly ``bits``
   words, so reshaping the word buffer to ``(n_chunks, bits)`` gives
-  each of the 64 chunk slots a *fixed* word offset, bit offset, and
-  spill behaviour.  A full unpack is 64 shift/mask passes (plus a fixed
-  spill combine for the straddling slots), each vectorized *across
-  chunks* — the per-element ``_positions`` arithmetic of the generic
-  :func:`repro.core.bitpack.gather` path disappears entirely.
+  each of the 64 chunk slots a *fixed* word, shift and spill word.
+  These index maps are derived once per width from the layout
+  (:func:`_gather_tables`, as LLAMA derives its mappings), and a decode
+  is one gather step: ``((grid[:, w] >> s) | (grid[:, w2] << hs)) &
+  mask``, in steps of :data:`RUN_CHUNKS` chunks to bound temporaries.
 
 :func:`unpack_array_fast` is the single bulk-decode entry point;
 :func:`unpack_chunk_range` is the superchunk kernel the scan engine
@@ -28,6 +28,8 @@ Functions 1-3) for every width 1..64.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import bitpack
@@ -35,48 +37,57 @@ from . import bitpack
 #: Widths with whole elements per word: 64/bits passes suffice.
 DIVISOR_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
+#: Chunks per gather or pack step.  Each step allocates two
+#: ``RUN_CHUNKS x 64`` temporaries (512 KiB each), so decoding or
+#: packing a whole column never allocates a second column-sized buffer.
+RUN_CHUNKS = 1024
+
 
 def is_divisor_width(bits: int) -> bool:
     return bits in DIVISOR_WIDTHS
 
 
-def _slot_layout(bits: int):
-    """Fixed per-slot layout of a 64-element chunk at ``bits`` wide.
+@lru_cache(maxsize=bitpack.WORD_BITS)
+def _gather_tables(bits: int):
+    """Per-slot index maps of a 64-element chunk at ``bits`` wide.
 
-    Returns a list of ``(slot, word_in_chunk, bit_in_word, spills)``
-    tuples: slot ``k`` of *every* chunk starts at bit ``k * bits`` of
-    the chunk, i.e. bit ``(k * bits) % 64`` of word ``(k * bits) // 64``
-    relative to the chunk's first word.  Because a chunk is exactly
-    ``bits`` words, a spilling slot always continues into word
-    ``word_in_chunk + 1`` of the *same* chunk.
+    Returns ``(word, shift, spill_word, spill_shift)``: slot ``k``
+    starts at bit ``(k * bits) % 64`` of chunk word ``(k * bits) // 64``.
+    A slot that straddles a word boundary takes its high bits from the
+    next word, which is in the same chunk as a chunk is exactly ``bits``
+    words, shifted left by ``64 - shift``.  A slot that does not spill
+    reads its own word shifted left by 63, which leaves only bit 63,
+    above every mask narrower than 64 bits.
     """
-    layout = []
-    for k in range(bitpack.CHUNK_ELEMENTS):
-        bit_in_chunk = k * bits
-        word = bit_in_chunk // bitpack.WORD_BITS
-        bit = bit_in_chunk % bitpack.WORD_BITS
-        layout.append((k, word, bit, bit + bits > bitpack.WORD_BITS))
-    return layout
+    word, shift = np.divmod(np.arange(bitpack.CHUNK_ELEMENTS) * bits, 64)
+    spills = shift + bits > 64
+    tables = (word, shift.astype(np.uint64), word + spills,
+              np.where(spills, 64 - shift, 63).astype(np.uint64))
+    for table in tables:  # cached and shared by every caller
+        table.flags.writeable = False
+    return tables
 
 
-def _unpack_divisor_into(words: np.ndarray, out_grid: np.ndarray,
+def _unpack_divisor_into(words: np.ndarray, out: np.ndarray,
                          bits: int) -> None:
-    """Fill ``out_grid`` (n_words, 64/bits) from ``words`` (n_words,)."""
+    """Decode at a divisor width: one shift+mask pass per word slot."""
     mask = np.uint64((1 << bits) - 1)
-    for k in range(bitpack.WORD_BITS // bits):
+    out_grid = out.reshape(-1, bitpack.WORD_BITS // bits)
+    for k in range(out_grid.shape[1]):
         out_grid[:, k] = (words >> np.uint64(k * bits)) & mask
 
 
-def _unpack_general_into(word_grid: np.ndarray, out_grid: np.ndarray,
+def _unpack_general_into(words: np.ndarray, out: np.ndarray,
                          bits: int) -> None:
-    """Fill ``out_grid`` (n_chunks, 64) from ``word_grid`` (n_chunks, bits)."""
-    mask = np.uint64((1 << bits) - 1)
-    for k, word, bit, spills in _slot_layout(bits):
-        lo = word_grid[:, word] >> np.uint64(bit)
-        if spills:
-            lo = lo | (word_grid[:, word + 1]
-                       << np.uint64(bitpack.WORD_BITS - bit))
-        out_grid[:, k] = lo & mask
+    """Decode at a general width: one gather step over the word grid."""
+    word, shift, spill_word, spill_shift = _gather_tables(bits)
+    grid = words.reshape(-1, bits)
+    out_grid = out.reshape(-1, bitpack.CHUNK_ELEMENTS)
+    np.right_shift(grid[:, word], shift, out=out_grid)
+    spill = grid[:, spill_word]
+    spill <<= spill_shift
+    out_grid |= spill
+    out_grid &= np.uint64((1 << bits) - 1)
 
 
 def unpack_chunk_range(words: np.ndarray, chunk: int, n_chunks: int,
@@ -87,7 +98,8 @@ def unpack_chunk_range(words: np.ndarray, chunk: int, n_chunks: int,
     (written into ``out`` when supplied, which lets the superchunk scan
     loop reuse one buffer per step).  Elements past the array's logical
     length in a trailing partial chunk decode to whatever padding the
-    word buffer holds; callers slice to the valid length.
+    word buffer holds; callers slice to the valid length.  Runs longer
+    than :data:`RUN_CHUNKS` decode in steps of that many chunks.
     """
     bits = bitpack.check_bits(bits)
     if chunk < 0 or n_chunks < 0:
@@ -100,8 +112,6 @@ def unpack_chunk_range(words: np.ndarray, chunk: int, n_chunks: int,
             f"out buffer holds {out.size} elements, need {n_elements}"
         )
     flat = out[:n_elements]
-    if n_chunks == 0:
-        return flat
     view = words[chunk * bits:(chunk + n_chunks) * bits]
     if view.size < n_chunks * bits:
         raise ValueError(
@@ -110,89 +120,65 @@ def unpack_chunk_range(words: np.ndarray, chunk: int, n_chunks: int,
     if bits == bitpack.WORD_BITS:
         flat[:] = view
         return flat
-    if is_divisor_width(bits):
-        per_word = bitpack.WORD_BITS // bits
-        _unpack_divisor_into(view, flat.reshape(-1, per_word), bits)
-        return flat
-    _unpack_general_into(
-        view.reshape(n_chunks, bits),
-        flat.reshape(n_chunks, bitpack.CHUNK_ELEMENTS),
-        bits,
-    )
+    kernel = (_unpack_divisor_into if is_divisor_width(bits)
+              else _unpack_general_into)
+    for first in range(0, n_chunks, RUN_CHUNKS):
+        last = min(first + RUN_CHUNKS, n_chunks)
+        kernel(view[first * bits:last * bits],
+               flat[first * bitpack.CHUNK_ELEMENTS:
+                    last * bitpack.CHUNK_ELEMENTS], bits)
     return flat
 
 
 def unpack_words_blocked(words: np.ndarray, length: int,
                          bits: int) -> np.ndarray:
-    """Unpack ``length`` elements with per-slot shift/mask passes.
-
-    Works for every width 1..64.  For divisor widths, slot ``k``'s
-    elements across all words are ``(words >> k*bits) & mask`` — one
-    vector op per slot.  For general widths the same trick applies per
-    chunk slot over the ``(n_chunks, bits)`` word grid (see module
-    docstring).  ``words`` must cover whole chunks, as produced by
-    :func:`repro.core.bitpack.words_for` sizing.
-    """
-    bits = bitpack.check_bits(bits)
-    if length == 0:
-        return np.empty(0, dtype=np.uint64)
-    if bits == bitpack.WORD_BITS:
-        return words[:length].copy()
-    if is_divisor_width(bits):
-        per_word = bitpack.WORD_BITS // bits
-        n_words = (length + per_word - 1) // per_word
-        out = np.empty((n_words, per_word), dtype=np.uint64)
-        _unpack_divisor_into(words[:n_words], out, bits)
-        return out.reshape(-1)[:length]
-    n_chunks = bitpack.chunks_for(length)
-    out = unpack_chunk_range(words, 0, n_chunks, bits)
-    return out[:length]
+    """Unpack the first ``length`` elements, any width 1..64, straight
+    into the returned buffer.  ``words`` must cover whole chunks, as
+    :func:`repro.core.bitpack.words_for` sizes them."""
+    return unpack_chunk_range(words, 0, bitpack.chunks_for(length),
+                              bits)[:length]
 
 
-def unpack_array_fast(words: np.ndarray, length: int, bits: int) -> np.ndarray:
-    """The single bulk-decode entry point: blocked for every width."""
-    return unpack_words_blocked(words, length, bits)
+#: The single bulk-decode entry point: blocked for every width.
+unpack_array_fast = unpack_words_blocked
 
 
 def pack_words_blocked(values: np.ndarray, bits: int) -> np.ndarray:
-    """The inverse kernel: pack ``values`` slot by slot, any width.
+    """The inverse kernel: pack ``values`` at any width, bit-identical
+    to paper Function 2 writes on a zeroed buffer.
 
-    Bit-identical to :func:`repro.core.bitpack.pack_array` (and to
-    repeated paper Function 2 writes on a zeroed buffer), but built from
-    fixed per-slot OR passes over the ``(n_chunks, bits)`` word grid
-    instead of per-element ``ufunc.at`` scatter.
+    Per step of :data:`RUN_CHUNKS` chunks, every slot is shifted into
+    place at once, each word's slots (a contiguous range) are OR-reduced
+    with ``reduceat``, and spilled high parts are ORed into the next
+    word.  Raises ``ValueOverflowError`` if a value does not fit.
     """
     bits = bitpack.check_bits(bits)
     values = np.ascontiguousarray(values, dtype=np.uint64)
     n = values.size
-    n_storage = bitpack.words_for(n, bits)
+    words = np.zeros(bitpack.words_for(n, bits), dtype=np.uint64)
     if n == 0:
-        return np.zeros(0, dtype=np.uint64)
+        return words
     if bits < bitpack.WORD_BITS and int(values.max()) >> bits:
         bad = values[(values >> np.uint64(bits)) != 0][0]
         raise bitpack.ValueOverflowError(int(bad), bits)
-    words = np.zeros(n_storage, dtype=np.uint64)
     if bits == bitpack.WORD_BITS:
         words[:n] = values
         return words
-    if is_divisor_width(bits):
-        per_word = bitpack.WORD_BITS // bits
-        n_words = (n + per_word - 1) // per_word
-        padded = np.zeros(n_words * per_word, dtype=np.uint64)
-        padded[:n] = values
-        grid = padded.reshape(n_words, per_word)
-        for k in range(per_word):
-            words[:n_words] |= grid[:, k] << np.uint64(k * bits)
-        return words
-    n_chunks = bitpack.chunks_for(n)
-    padded = np.zeros(n_chunks * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
-    padded[:n] = values
-    value_grid = padded.reshape(n_chunks, bitpack.CHUNK_ELEMENTS)
-    word_grid = words.reshape(n_chunks, bits)
-    for k, word, bit, spills in _slot_layout(bits):
-        word_grid[:, word] |= value_grid[:, k] << np.uint64(bit)
-        if spills:
-            word_grid[:, word + 1] |= (
-                value_grid[:, k] >> np.uint64(bitpack.WORD_BITS - bit)
-            )
+    word, shift, spill_word, spill_shift = _gather_tables(bits)
+    starts = np.flatnonzero(np.diff(word, prepend=-1))
+    spills = np.flatnonzero(spill_word != word)
+    word_grid = words.reshape(-1, bits)
+    step = RUN_CHUNKS * bitpack.CHUNK_ELEMENTS
+    for first in range(0, n, step):
+        run = values[first:first + step]
+        if run.size % bitpack.CHUNK_ELEMENTS:
+            run = np.concatenate((run, np.zeros(
+                -run.size % bitpack.CHUNK_ELEMENTS, dtype=np.uint64)))
+        value_grid = run.reshape(-1, bitpack.CHUNK_ELEMENTS)
+        grid = word_grid[first // bitpack.CHUNK_ELEMENTS:][:len(value_grid)]
+        np.bitwise_or.reduceat(value_grid << shift, starts, axis=1,
+                               out=grid)
+        grid[:, spill_word[spills]] |= (
+            value_grid[:, spills] >> spill_shift[spills]
+        )
     return words

@@ -653,8 +653,8 @@ class SmartArray(abc.ABC):
         """Decode the full logical contents as a ``uint64`` array.
 
         Uses the all-width blocked kernel (see
-        :mod:`repro.core.bitpack_fast`) — fixed shift/mask passes over
-        the word grid, never per-element gather arithmetic.
+        :mod:`repro.core.bitpack_fast`) — table-driven steps over the word
+        grid, never per-element index arithmetic.
         """
         from .bitpack_fast import unpack_array_fast
 

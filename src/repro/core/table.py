@@ -13,7 +13,7 @@ Query surface (deliberately small and analytics-shaped):
 * ``filter(predicate_column, fn)`` — returns matching row indices;
 * ``sum(column[, rows])`` / ``min`` / ``max`` / ``mean`` — aggregates,
   optionally over a row selection;
-* ``group_by_sum(key_column, value_column)`` — hash aggregation.
+* ``group_by_sum(key_column, value_column)`` — grouped sums.
 
 All results are exact (Python-integer arithmetic through the same
 paths the runtime uses).
@@ -255,32 +255,14 @@ class SmartTable:
     ) -> Dict[int, int]:
         """SELECT key, SUM(value) GROUP BY key (exact arithmetic).
 
-        Streams both columns one superchunk span at a time through the
-        blocked kernel — peak extra memory is two span buffers, not two
-        decoded columns — accumulating exact per-group partial sums
-        (bincount would wrap uint64).
+        Runs the query engine's vectorised group fold, which decodes
+        both columns one morsel at a time (peak extra memory is a few
+        span buffers, not two decoded columns).
         """
-        from .map_api import iter_spans
-        from ..runtime.loops import _exact_sum
+        from ..query import Query
 
-        key_col = self.column(key)
-        value_col = self.column(value)
-        out: Dict[int, int] = {}
-        # Each generator owns its buffer, so zipping spans is safe.
-        for (_, keys), (_, values) in zip(
-            iter_spans(key_col), iter_spans(value_col)
-        ):
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            sorted_vals = values[order]
-            uniq, starts = np.unique(sorted_keys, return_index=True)
-            bounds = np.append(starts, keys.size)
-            for g in range(uniq.size):
-                k = int(uniq[g])
-                out[k] = out.get(k, 0) + _exact_sum(
-                    sorted_vals[bounds[g]:bounds[g + 1]]
-                )
-        return dict(sorted(out.items()))
+        groups = Query(self).group_by(key).sum(value).run().groups
+        return {k: g[f"sum({value})"] for k, g in groups.items()}
 
     # -- accounting ------------------------------------------------------------
 

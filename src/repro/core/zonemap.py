@@ -21,7 +21,7 @@ predicate decodes only the surviving chunks.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,21 +34,20 @@ from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
 
 
-def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
+def _chunk_runs(chunks: np.ndarray, max_run: int) -> List[Tuple[int, int]]:
     """Group sorted chunk indices into ``(first, count)`` runs of
-    consecutive chunks, each at most ``max_run`` long."""
-    i = 0
-    n = chunks.size
-    while i < n:
-        j = i + 1
-        while (
-            j < n
-            and j - i < max_run
-            and chunks[j] == chunks[j - 1] + 1
-        ):
-            j += 1
-        yield int(chunks[i]), j - i
-        i = j
+    consecutive chunks, each at most ``max_run`` (>= 1) long.  Python
+    walks only the runs, never the chunks."""
+    if chunks.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(chunks) != 1) + 1
+    starts = np.concatenate(([0], breaks))
+    lengths = np.diff(np.append(starts, chunks.size))
+    return [
+        (first + offset, min(max_run, length - offset))
+        for first, length in zip(chunks[starts].tolist(), lengths.tolist())
+        for offset in range(0, length, max_run)
+    ]
 
 
 class ZoneMap:
@@ -178,10 +177,9 @@ class ZoneMap:
         covered = mins[candidates] >= lo64
         if hi64 is not None:
             covered &= maxs[candidates] < hi64
-        total = 0
-        for chunk in candidates[covered]:
-            start = int(chunk) * bitpack.CHUNK_ELEMENTS
-            total += min(self.array.length, start + bitpack.CHUNK_ELEMENTS) - start
+        starts = candidates[covered] * bitpack.CHUNK_ELEMENTS
+        total = int(np.minimum(self.array.length - starts,
+                               bitpack.CHUNK_ELEMENTS).sum())
         max_run = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
         replica = self.array.get_replica(socket)
         buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)

@@ -34,6 +34,8 @@ by ``explain()``) so a human can audit exactly what will run.
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -61,9 +63,15 @@ CODEGEN_MODES = ("auto", "on", "off")
 #: ``=on`` errors on any plan the kernel template cannot cover.
 CODEGEN_ENV_VAR = "REPRO_QUERY_CODEGEN"
 
-#: source -> compiled function; the source embeds every specialization
-#: input (columns, bit-width regime, mask expression), so it is the key.
-_KERNEL_CACHE: Dict[str, Callable] = {}
+#: source -> compiled function, least recently used first; the source
+#: embeds every specialization input (columns, bit-width regime, mask
+#: expression), so it is the key.  Literals are folded into the mask
+#: expression, so a stream of fresh literals would grow an unbounded
+#: cache by one kernel per query: it keeps the newest
+#: ``_KERNEL_CACHE_SIZE``.
+_KERNEL_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
+_KERNEL_CACHE_SIZE = 256
+_KERNEL_CACHE_LOCK = threading.Lock()
 
 
 def resolve_mode(explicit: Optional[str], query_mode: Optional[str]) -> str:
@@ -83,8 +91,9 @@ def unsupported_reason(query: Query) -> Optional[str]:
 
     The kernel template covers fused filter+aggregate scans — the hot
     shape the paper measures.  Row materialization and group-by keep the
-    interpreted fold paths (their output is allocation-bound, not
-    AST-walk-bound).
+    interpreted fold paths: a row query's cost is copying out matched
+    rows, and the group fold is already one vectorised ``bincount``
+    step per span, so neither has an AST walk for codegen to remove.
     """
     if not query.aggregates:
         return "row queries (select/limit) run interpreted"
@@ -366,11 +375,18 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
     )
     source = "\n".join(lines) + "\n"
 
-    fn = _KERNEL_CACHE.get(source)
+    with _KERNEL_CACHE_LOCK:
+        fn = _KERNEL_CACHE.get(source)
+        if fn is not None:
+            _KERNEL_CACHE.move_to_end(source)
     if fn is None:
         namespace: Dict[str, object] = {"np": np, "min": min, "max": max}
         exec(compile(source, "<repro.query.codegen>", "exec"), namespace)
-        fn = _KERNEL_CACHE[source] = namespace["kernel"]
+        fn = namespace["kernel"]
+        with _KERNEL_CACHE_LOCK:
+            _KERNEL_CACHE[source] = fn
+            if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
+                _KERNEL_CACHE.popitem(last=False)
     return CompiledKernel(
         source=source,
         fn=fn,

@@ -143,33 +143,65 @@ def _finalize_agg(partials: List[object], specs) -> Dict[str, object]:
     return out
 
 
+#: Rows per group-fold slice.  The 32-bit halves of at most 2**21
+#: values sum below 2**53, so float64 ``bincount`` weights stay exact.
+_FOLD_SLICE_ROWS = 1 << 21
+
+
 def _fold_groups(groups: Dict[int, List[object]], specs,
                  keys: np.ndarray, env: Dict[str, np.ndarray],
                  mask: Optional[np.ndarray]) -> None:
-    """Group one decoded span by key and fold per-group partials."""
+    """Group one decoded span by key and fold per-group partials.
+
+    One vectorised step per aggregate: keys below 2**16 index the
+    per-group arrays directly, wider keys go through ``np.unique``;
+    counts, sums and means are ``bincount``s, min and max ``ufunc.at``.
+    Python only walks the groups present.
+    """
     if mask is not None:
         keys = keys[mask]
-    if keys.size == 0:
+        env = {spec.column: env[spec.column][mask]
+               for spec in specs if spec.column is not None}
+    if keys.size > _FOLD_SLICE_ROWS:
+        for start in range(0, keys.size, _FOLD_SLICE_ROWS):
+            part = slice(start, start + _FOLD_SLICE_ROWS)
+            _fold_groups(groups, specs, keys[part],
+                         {name: col[part] for name, col in env.items()}, None)
         return
-    # Sort-and-slice (the exact-arithmetic idiom group_by_sum uses):
-    # one argsort per span, then contiguous per-group slices.
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, keys.size)
-    masked_cols = {
-        spec.column: (env[spec.column][mask] if mask is not None
-                      else env[spec.column])[order]
-        for spec in specs if spec.column is not None
-    }
-    for g in range(uniq.size):
-        key = int(uniq[g])
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        partials = groups.get(key)
-        if partials is None:
-            partials = groups[key] = _new_agg_partials(specs)
-        genv = {name: vals[lo:hi] for name, vals in masked_cols.items()}
-        _fold_agg(partials, specs, genv, None, hi - lo)
+    if int(keys.max()) < 1 << 16:
+        index = keys.astype(np.intp)
+        counts = np.bincount(index)
+        present = group_keys = np.flatnonzero(counts)
+    else:
+        group_keys, index = np.unique(keys, return_inverse=True)
+        counts = np.bincount(index)
+        present = slice(None)
+    group_counts = counts[present].tolist()
+    folded: List[List[object]] = []
+    for spec in specs:
+        if spec.kind == "count":
+            folded.append(group_counts)
+            continue
+        values = env[spec.column]
+        if spec.kind in ("sum", "mean"):
+            hi, lo = (
+                np.bincount(index, weights=half, minlength=counts.size)
+                [present].astype(np.int64).tolist()
+                for half in (values >> np.uint64(32),
+                             values & np.uint64(0xFFFFFFFF))
+            )
+            sums = [(h << 32) + low for h, low in zip(hi, lo)]
+            folded.append(sums if spec.kind == "sum"
+                          else list(zip(sums, group_counts)))
+            continue
+        minimum = spec.kind == "min"
+        acc = np.full(counts.size, np.iinfo(np.uint64).max if minimum else 0,
+                      dtype=np.uint64)
+        (np.minimum if minimum else np.maximum).at(acc, index, values)
+        folded.append(acc[present].tolist())
+    for key, row in zip(group_keys.tolist(), zip(*folded)):
+        _merge_agg(groups.setdefault(key, _new_agg_partials(specs)), row,
+                   specs)
 
 
 class _LimitTracker:
@@ -342,7 +374,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                              replicas[name], bufs[name])
                 (part.rows_scanned, part.rows_matched,
                  part.decoded_chunks, part.agg) = kernel.fn(
-                    list(_chunk_runs(candidates, max_chunks)),
+                    _chunk_runs(candidates, max_chunks),
                     n_rows, *args,
                 )
                 return

@@ -68,13 +68,12 @@ from .logical import Query
 #: ever decoded by two morsels.
 DEFAULT_MORSEL_ELEMENTS = 4096
 
-#: Default morsel for compiled plans: 16 superchunks.  The blocked
-#: decoder runs a fixed number of shift/mask passes per run regardless
-#: of run length, and the fused kernel touches each span a constant
-#: number of times, so larger runs amortize per-call overhead without
-#: changing any result (aggregation is exact integer arithmetic,
-#: independent of morsel boundaries).  An explicit ``morsel=`` knob
-#: still wins in either mode.
+#: Default morsel for compiled and ``GROUP BY`` plans: 16 superchunks.
+#: The blocked decoder and the group fold run a fixed number of NumPy
+#: steps per run, so larger runs amortize per-call overhead without
+#: changing any result (aggregation is exact integer arithmetic).
+#: Other plans keep one superchunk, so a row query's ``limit()`` can
+#: stop early.  An explicit ``morsel=`` knob still wins.
 COMPILED_MORSEL_ELEMENTS = 65536
 
 #: Analytics tables are scanned repeatedly over their lifetime; the
@@ -406,8 +405,9 @@ def _plan_query(
     table = query.table
     n_rows = table.n_rows
 
-    # Compile-vs-interpret decision comes first: compiled plans default
-    # to larger morsels (an explicit ``morsel=`` knob wins regardless).
+    # Compile-vs-interpret decision comes first: compiled and group-by
+    # plans default to larger morsels (an explicit ``morsel=`` knob wins
+    # regardless).
     requested = resolve_mode(codegen, query.codegen_mode)
     if requested == "off":
         mode, codegen_reason = "interpreted", "codegen knob off"
@@ -424,7 +424,8 @@ def _plan_query(
             mode = "interpreted"
 
     if morsel is None:
-        morsel = (COMPILED_MORSEL_ELEMENTS if mode == "compiled"
+        morsel = (COMPILED_MORSEL_ELEMENTS
+                  if mode == "compiled" or query.group_key is not None
                   else DEFAULT_MORSEL_ELEMENTS)
     morsel_elements = check_superchunk(morsel)
     n_chunks = bitpack.chunks_for(n_rows)
