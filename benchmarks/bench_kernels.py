@@ -5,10 +5,16 @@ widths, iterator traversal styles, and replica selection — the pieces
 every figure's functional path is built from.  Useful for tracking
 regressions in the Python implementation itself.
 
-Run as a script it prints the per-width decode table: Melem/s of
-:func:`repro.core.bitpack_fast.unpack_chunk_range` at every width
-1..64, for runs of 64 chunks (one superchunk, the interpreted morsel)
-and 1024 chunks (the compiled and ``GROUP BY`` morsel)::
+Run as a script it prints two tables.  The per-width decode table
+gives Melem/s of :func:`repro.core.bitpack_fast.unpack_chunk_range` at
+every width 1..64, for runs of 64 chunks (one superchunk, the
+interpreted morsel) and 1024 chunks (the compiled and ``GROUP BY``
+morsel).  The masked-fold table times one 65,536-row ``SUM ... WHERE``
+span fold both ways: compacting the matches (``v[mask].sum()`` with a
+``mask.sum()`` count) against folding under the mask
+(``np.multiply(v, mask)`` then ``.sum()``, ``np.count_nonzero``), at
+1%, 50% and 99% selectivity with matches at random rows or in one
+contiguous run::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -169,9 +175,76 @@ def decode_table() -> str:
     return "\n".join(lines)
 
 
+#: Rows per masked-fold span (one compiled morsel) and selectivities.
+FOLD_ROWS = 65_536
+FOLD_SELECTIVITIES = (0.01, 0.5, 0.99)
+
+
+def _fold_inputs(selectivity: float, layout: str):
+    """A 20-bit span and a mask matching ``selectivity`` of its rows,
+    at random positions or as one contiguous run."""
+    rng = np.random.default_rng(int(selectivity * 100))
+    values = rng.integers(0, 1 << 20, FOLD_ROWS, dtype=np.uint64)
+    if layout == "random":
+        return values, rng.random(FOLD_ROWS) < selectivity
+    matches = int(selectivity * FOLD_ROWS)
+    start = int(rng.integers(0, FOLD_ROWS - matches + 1))
+    mask = np.zeros(FOLD_ROWS, dtype=bool)
+    mask[start:start + matches] = True
+    return values, mask
+
+
+def _compact_fold(values, mask):
+    return int(mask.sum()), int(values[mask].sum(dtype=np.uint64))
+
+
+def _product_fold(values, mask, out):
+    np.multiply(values, mask, out=out)
+    return int(np.count_nonzero(mask)), int(out.sum(dtype=np.uint64))
+
+
+@pytest.mark.parametrize("selectivity", FOLD_SELECTIVITIES)
+def test_masked_fold(benchmark, selectivity):
+    """Fold one span under its mask (no compaction)."""
+    values, mask = _fold_inputs(selectivity, "random")
+    out = np.empty_like(values)
+    got = benchmark(lambda: _product_fold(values, mask, out))
+    assert got == _compact_fold(values, mask)
+
+
+def _best_us(fn, budget_s: float = 0.05) -> float:
+    best = float("inf")
+    deadline = time.perf_counter() + budget_s
+    while True:
+        t0 = time.perf_counter()
+        fn()
+        t1 = time.perf_counter()
+        best = min(best, t1 - t0)
+        if t1 >= deadline:
+            return best * 1e6
+
+
+def fold_table() -> str:
+    lines = [f"{'layout':>10} {'selectivity':>11} {'compact us':>11} "
+             f"{'product us':>11} {'speed-up':>9}"]
+    for layout in ("random", "clustered"):
+        for selectivity in FOLD_SELECTIVITIES:
+            values, mask = _fold_inputs(selectivity, layout)
+            out = np.empty_like(values)
+            assert (_product_fold(values, mask, out)
+                    == _compact_fold(values, mask))
+            compact = _best_us(lambda: _compact_fold(values, mask))
+            product = _best_us(lambda: _product_fold(values, mask, out))
+            lines.append(f"{layout:>10} {selectivity:>11.0%} "
+                         f"{compact:>11.1f} {product:>11.1f} "
+                         f"{compact / product:>8.1f}x")
+    return "\n".join(lines)
+
+
 def main() -> None:
-    emit("Per-width chunk-run decode (unpack_chunk_range, best of 50 ms)",
-         decode_table(), "kernels.txt")
+    emit("Chunk-run decode per width, then masked folds of one "
+         "65,536-row 20-bit span\n(best of 50 ms each)",
+         decode_table() + "\n\n" + fold_table(), "kernels.txt")
 
 
 if __name__ == "__main__":

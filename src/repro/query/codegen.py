@@ -11,10 +11,15 @@ single pass over each candidate-chunk run:
   all literal bounds **clamped and constant-folded at compile time**
   (the exact semantics of :func:`repro.query.expr._clamped_compare` —
   everywhere-true/false comparisons simplify AND/OR/NOT away);
-* each aggregate is lowered to a fold specialized on its column's bit
-  width: when ``bits + ceil_log2(morsel_elements) <= 64`` a masked
-  span's sum provably fits uint64 and one ``sum(dtype=np.uint64)``
-  suffices, otherwise the kernel splits 32-bit halves exactly like
+* each aggregate folds the whole decoded span under the mask, never a
+  compacted copy: a partly matching span's sum/mean/max columns are
+  multiplied by the mask in place (masked-out rows become 0) and
+  ``min`` reads ``col | (mask - 1)``; a fully matching span folds as
+  decoded, and the match count is ``np.count_nonzero``;
+* each sum is specialized on its column's bit width: when ``bits +
+  ceil_log2(morsel_elements) <= 64`` a span's sum provably fits uint64
+  and one ``sum(dtype=np.uint64)`` suffices, otherwise the kernel
+  splits 32-bit halves exactly like
   :func:`repro.runtime.loops._exact_sum` — results are bit-identical
   to the interpreted path in both regimes;
 * decoding still goes through ``SmartArray.decode_chunks`` with the
@@ -236,12 +241,13 @@ def _emit_bool(expr: Expr, names: Dict[str, str]) -> _BoolIR:
 
 def _emit_sum(target: str, values: str, bits: int,
               morsel_elements: int) -> str:
-    """One exact masked-sum statement, specialized on bit width.
+    """One exact span-sum statement, specialized on bit width.
 
-    A span holds at most ``morsel_elements`` values below ``2**bits``,
-    so when ``bits + ceil_log2(morsel_elements) <= 64`` the uint64
-    accumulator provably cannot wrap; otherwise split 32-bit halves
-    (exact for any count below 2**32), the `_exact_sum` recipe inlined.
+    A span holds at most ``morsel_elements`` values below ``2**bits``
+    (masked-out rows are zeros), so when ``bits +
+    ceil_log2(morsel_elements) <= 64`` the uint64 accumulator provably
+    cannot wrap; otherwise split 32-bit halves (exact for any count
+    below 2**32), the `_exact_sum` recipe inlined.
     """
     if bits + morsel_elements.bit_length() <= 64:
         return f"{target} += int({values}.sum(dtype=np.uint64))"
@@ -250,6 +256,61 @@ def _emit_sum(target: str, values: str, bits: int,
         f".sum(dtype=np.uint64)) << 32) + "
         f"int(({values} & np.uint64(4294967295)).sum(dtype=np.uint64))"
     )
+
+
+def _emit_folds(query: Query, names: Dict[str, str],
+                column_bits: Dict[str, int], morsel_elements: int,
+                masked: bool) -> List[str]:
+    """Unindented fold statements for one span with ``n > 0`` matches.
+
+    Nothing is compacted.  A span that matches only in part
+    (``n != span``) is folded whole under its mask: ``min`` first reads
+    ``col | (mask - 1)``, all ones outside the mask; then every column
+    feeding a sum, mean or max is multiplied by the mask once, in place
+    in its own decode buffer, so a masked-out row adds 0 and cannot
+    raise a max (``n > 0`` guarantees a matching row).  A fully
+    matching span folds the decoded values as they are.
+    """
+    floors: List[str] = []  # columns read by min, before the product
+    products: List[str] = []  # columns read by sum / mean / max
+    for spec in query.aggregates:
+        if spec.column is None:
+            continue
+        into = floors if spec.kind == "min" else products
+        if spec.column not in into:
+            into.append(spec.column)
+    lines: List[str] = []
+    if masked and (floors or products):
+        lines += [f"lo_{names[column]} = {names[column]}"
+                  for column in floors]
+        lines.append("if n != span:")
+        for column in floors:
+            src = names[column]
+            lines.append(f"    lo_{src} = {src} | "
+                         "(mask.astype(np.uint64) - np.uint64(1))")
+        for column in products:
+            src = names[column]
+            lines.append(f"    np.multiply({src}, mask, out={src})")
+    for slot, spec in enumerate(query.aggregates):
+        if spec.kind == "count":
+            lines.append(f"a{slot} += n")
+            continue
+        src = names[spec.column]
+        bits = column_bits[spec.column]
+        if spec.kind == "sum":
+            lines.append(_emit_sum(f"a{slot}", src, bits, morsel_elements))
+        elif spec.kind == "mean":
+            lines.append(_emit_sum(f"a{slot}_s", src, bits,
+                                   morsel_elements))
+            lines.append(f"a{slot}_c += n")
+        else:  # min / max
+            fold = spec.kind
+            if fold == "min" and masked:
+                src = f"lo_{src}"
+            lines.append(f"b = int({src}.{fold}())")
+            lines.append(f"a{slot} = b if a{slot} is None "
+                         f"else {fold}(a{slot}, b)")
+    return lines
 
 
 @dataclass(frozen=True)
@@ -331,43 +392,15 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
         lines.append("            n = 0")
     else:
         lines.append(f"            mask = {mask}")
-        lines.append("            n = int(mask.sum())")
+        lines.append("            n = int(np.count_nonzero(mask))")
     lines.append("            rows_matched += n")
     lines.append("            if n == 0:")
     lines.append("                continue")
 
     if mask is not False:  # folds are unreachable under a false mask
-        # Masked values once per distinct aggregate column.
-        emitted_values: Dict[str, str] = {}
-        for spec in query.aggregates:
-            if spec.column is None or spec.column in emitted_values:
-                continue
-            src = names[spec.column]
-            var = f"v_{src}"
-            emitted_values[spec.column] = var
-            picked = f"{src}[mask]" if isinstance(mask, str) else src
-            lines.append(f"            {var} = {picked}")
-        for slot, spec in enumerate(query.aggregates):
-            if spec.kind == "count":
-                lines.append(f"            a{slot} += n")
-                continue
-            v = emitted_values[spec.column]
-            bits = column_bits[spec.column]
-            if spec.kind == "sum":
-                lines.append("            " + _emit_sum(
-                    f"a{slot}", v, bits, morsel_elements))
-            elif spec.kind == "mean":
-                lines.append("            " + _emit_sum(
-                    f"a{slot}_s", v, bits, morsel_elements))
-                lines.append(f"            a{slot}_c += {v}.size")
-            else:  # min / max
-                fold = spec.kind
-                lines.append(f"            if {v}.size:")
-                lines.append(f"                b = int({v}.{fold}())")
-                lines.append(
-                    f"                a{slot} = b if a{slot} is None "
-                    f"else {fold}(a{slot}, b)"
-                )
+        lines += [f"            {line}" for line in _emit_folds(
+            query, names, column_bits, morsel_elements,
+            masked=isinstance(mask, str))]
 
     lines.append(
         "    return rows_scanned, rows_matched, decoded_chunks, "

@@ -88,29 +88,43 @@ def _new_agg_partials(specs) -> List[object]:
 
 def _fold_agg(partials: List[object], specs, env: Dict[str, np.ndarray],
               mask: Optional[np.ndarray], n_matched: int) -> None:
-    """Fold one decoded span into per-spec partials, in place."""
+    """Fold one decoded span with ``n_matched > 0`` into per-spec
+    partials, in place.
+
+    The interpreted twin of :func:`repro.query.codegen._emit_folds`:
+    nothing is compacted.  ``mask`` is ``None`` when every row matches.
+    Otherwise ``min`` reads ``values | (mask - 1)`` (all ones outside
+    the mask) and every column feeding a sum, mean or max is then
+    multiplied by the mask once, in place in its decode buffer, so a
+    masked-out row adds 0 and cannot raise a max.
+    """
+    floors = env
+    if mask is not None:
+        floors = {
+            name: env[name] | (mask.astype(np.uint64) - np.uint64(1))
+            for name in {spec.column for spec in specs
+                         if spec.kind == "min"}
+        }
+        for name in {spec.column for spec in specs
+                     if spec.kind in ("sum", "mean", "max")}:
+            np.multiply(env[name], mask, out=env[name])
     for slot, spec in enumerate(specs):
         if spec.kind == "count":
             partials[slot] += n_matched
-            continue
-        values = env[spec.column]
-        if mask is not None:
-            values = values[mask]
-        if values.size == 0:
-            continue
-        if spec.kind == "sum":
-            partials[slot] += _exact_sum(values)
+        elif spec.kind == "sum":
+            partials[slot] += _exact_sum(env[spec.column])
         elif spec.kind == "min":
-            lo = int(values.min())
+            lo = int(floors[spec.column].min())
             cur = partials[slot]
             partials[slot] = lo if cur is None else min(cur, lo)
         elif spec.kind == "max":
-            hi = int(values.max())
+            hi = int(env[spec.column].max())
             cur = partials[slot]
             partials[slot] = hi if cur is None else max(cur, hi)
         else:  # mean
             s, c = partials[slot]
-            partials[slot] = (s + _exact_sum(values), c + values.size)
+            partials[slot] = (s + _exact_sum(env[spec.column]),
+                              c + n_matched)
 
 
 def _merge_agg(into: List[object], other: List[object], specs) -> None:
@@ -147,36 +161,49 @@ def _finalize_agg(partials: List[object], specs) -> Dict[str, object]:
 #: values sum below 2**53, so float64 ``bincount`` weights stay exact.
 _FOLD_SLICE_ROWS = 1 << 21
 
+#: float64 adds integers exactly while every partial sum is below
+#: ``2**_FLOAT_EXACT_BITS``.
+_FLOAT_EXACT_BITS = 53
+
 
 def _fold_groups(groups: Dict[int, List[object]], specs,
                  keys: np.ndarray, env: Dict[str, np.ndarray],
-                 mask: Optional[np.ndarray]) -> None:
+                 mask: Optional[np.ndarray],
+                 value_bits: Optional[Dict[str, int]] = None) -> None:
     """Group one decoded span by key and fold per-group partials.
 
     One vectorised step per aggregate: keys below 2**16 index the
     per-group arrays directly, wider keys go through ``np.unique``;
     counts, sums and means are ``bincount``s, min and max ``ufunc.at``.
-    Python only walks the groups present.
+    Nothing is compacted: under a mask, masked-out rows go to one
+    sentinel bin past the last group, which is dropped.  A sum over a
+    column whose values are below ``2**value_bits[column]`` (64 when
+    not given) is one float64 ``bincount`` when ``value_bits +
+    ceil_log2(rows) <= 53``, else one per 32-bit half.  Python only
+    walks the groups present.
     """
-    if mask is not None:
-        keys = keys[mask]
-        env = {spec.column: env[spec.column][mask]
-               for spec in specs if spec.column is not None}
     if keys.size > _FOLD_SLICE_ROWS:
         for start in range(0, keys.size, _FOLD_SLICE_ROWS):
             part = slice(start, start + _FOLD_SLICE_ROWS)
             _fold_groups(groups, specs, keys[part],
-                         {name: col[part] for name, col in env.items()}, None)
+                         {name: col[part] for name, col in env.items()},
+                         None if mask is None else mask[part], value_bits)
         return
-    if int(keys.max()) < 1 << 16:
+    top = int(keys.max())
+    if top < 1 << 16:
         index = keys.astype(np.intp)
-        counts = np.bincount(index)
-        present = group_keys = np.flatnonzero(counts)
+        sentinel = top + 1
     else:
-        group_keys, index = np.unique(keys, return_inverse=True)
-        counts = np.bincount(index)
-        present = slice(None)
+        unique_keys, index = np.unique(keys, return_inverse=True)
+        sentinel = unique_keys.size
+    if mask is not None:
+        index = np.where(mask, index, sentinel)
+    bins = sentinel + 1
+    counts = np.bincount(index, minlength=bins)
+    present = np.flatnonzero(counts[:sentinel])
+    group_keys = present if top < 1 << 16 else unique_keys[present]
     group_counts = counts[present].tolist()
+    exact_bits = _FLOAT_EXACT_BITS - (keys.size - 1).bit_length()
     folded: List[List[object]] = []
     for spec in specs:
         if spec.kind == "count":
@@ -184,18 +211,23 @@ def _fold_groups(groups: Dict[int, List[object]], specs,
             continue
         values = env[spec.column]
         if spec.kind in ("sum", "mean"):
-            hi, lo = (
-                np.bincount(index, weights=half, minlength=counts.size)
-                [present].astype(np.int64).tolist()
-                for half in (values >> np.uint64(32),
-                             values & np.uint64(0xFFFFFFFF))
-            )
-            sums = [(h << 32) + low for h, low in zip(hi, lo)]
+            bits = 64 if value_bits is None else value_bits[spec.column]
+            if bits <= exact_bits:
+                sums = (np.bincount(index, weights=values, minlength=bins)
+                        [present].astype(np.int64).tolist())
+            else:
+                hi, lo = (
+                    np.bincount(index, weights=half, minlength=bins)
+                    [present].astype(np.int64).tolist()
+                    for half in (values >> np.uint64(32),
+                                 values & np.uint64(0xFFFFFFFF))
+                )
+                sums = [(h << 32) + low for h, low in zip(hi, lo)]
             folded.append(sums if spec.kind == "sum"
                           else list(zip(sums, group_counts)))
             continue
         minimum = spec.kind == "min"
-        acc = np.full(counts.size, np.iinfo(np.uint64).max if minimum else 0,
+        acc = np.full(bins, np.iinfo(np.uint64).max if minimum else 0,
                       dtype=np.uint64)
         (np.minimum if minimum else np.maximum).at(acc, index, values)
         folded.append(acc[present].tolist())
@@ -382,6 +414,8 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 part.agg = _new_agg_partials(specs)
                 if group_key is not None:
                     part.groups = {}
+                    value_bits = {name: gens[name].value_bits
+                                  for name in plan.needed_columns}
             else:
                 idx_pieces: List[np.ndarray] = []
                 val_pieces: Dict[str, List[np.ndarray]] = {
@@ -401,27 +435,32 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 part.rows_scanned += span_len
                 if predicate is not None:
                     mask = predicate.evaluate(env)
-                    n_matched = int(mask.sum())
+                    n_matched = int(np.count_nonzero(mask))
                 else:
                     mask = None
                     n_matched = span_len
                 part.rows_matched += n_matched
                 if n_matched == 0:
                     continue
+                if n_matched == span_len:
+                    mask = None
                 if specs:
                     if group_key is not None:
                         _fold_groups(part.groups, specs, env[group_key],
-                                     env, mask)
+                                     env, mask, value_bits)
                     else:
                         _fold_agg(part.agg, specs, env, mask, n_matched)
                 else:
-                    local = (np.nonzero(mask)[0] if mask is not None
+                    local = (np.flatnonzero(mask) if mask is not None
                              else np.arange(span_len))
-                    idx_pieces.append(local.astype(np.int64) + base)
+                    idx_pieces.append(
+                        local.astype(np.int64, copy=False) + base)
                     for name in projection or ():
                         vals = env[name]
+                        # vals is a view of the reused decode buffer;
+                        # vals[mask] is already a fresh array.
                         val_pieces[name].append(
-                            (vals[mask] if mask is not None else vals).copy()
+                            vals[mask] if mask is not None else vals.copy()
                         )
             if not specs:
                 if idx_pieces:
